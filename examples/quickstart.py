@@ -10,8 +10,7 @@ Run:  python examples/quickstart.py
 
 from repro import DetectionPipeline, PipelineConfig
 from repro.faults import ActivationSchedule, CampaignSpec, PacketDropper, StuckAtFault
-from repro.traces import GDITraceConfig, build_environment, generate_gdi_trace
-from repro.traces import window_trace_by_samples
+from repro.traces import GDITraceConfig, build_environment, generate_gdi_trace_columnar
 
 
 def main() -> None:
@@ -27,14 +26,13 @@ def main() -> None:
     # 2. Generate one synthetic GDI week and corrupt it.
     trace_config = GDITraceConfig(n_days=10)
     injector = campaign.build_injector(build_environment(trace_config))
-    trace = generate_gdi_trace(trace_config, corruption=injector)
-    print(f"trace: {len(trace)} readings from sensors {trace.sensor_ids}")
+    trace = generate_gdi_trace_columnar(trace_config, corruption=injector)
+    print(f"trace: {len(trace)} readings from sensors {trace.sensor_ids.tolist()}")
 
-    # 3. Run the paper's pipeline (Table 1 parameters by default).
-    config = PipelineConfig()
-    pipeline = DetectionPipeline(config)
-    for window in window_trace_by_samples(trace, config.window_samples):
-        pipeline.process_window(window)
+    # 3. Run the paper's pipeline (Table 1 parameters by default) over
+    #    one-hour windows of the trace.
+    pipeline = DetectionPipeline(PipelineConfig())
+    pipeline.process_trace_fast(trace)
 
     # 4. The clean environment model M_C (step 5 of the methodology).
     model = pipeline.correct_model()

@@ -17,12 +17,11 @@ Public API tour
 Quickstart
 ----------
 >>> from repro import DetectionPipeline, PipelineConfig
->>> from repro.traces import generate_gdi_trace, window_trace_by_samples
->>> config = PipelineConfig()
->>> trace = generate_gdi_trace()
->>> pipeline = DetectionPipeline(config)
->>> for window in window_trace_by_samples(trace, config.window_samples):
-...     _ = pipeline.process_window(window)
+>>> from repro.traces import generate_gdi_trace_columnar
+>>> trace = generate_gdi_trace_columnar()
+>>> pipeline = DetectionPipeline(PipelineConfig())
+>>> pipeline.process_trace_fast(trace)   # one-hour windows, Table 1 defaults
+744
 >>> model = pipeline.correct_model()   # the paper's M_C (Fig. 7)
 """
 

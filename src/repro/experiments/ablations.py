@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.metrics import ConfusionMatrix, false_alarm_rate
-from ..analysis.offline_clustering import discretize, initial_states_from_trace
+from ..analysis.offline_clustering import discretize
 from ..analysis.reporting import render_table
 from ..baselines.majority import MajorityVoteDetector
 from ..baselines.markov_chain import MarkovChainDetector
@@ -25,7 +25,7 @@ from ..core.classification import AnomalyType
 from ..faults.attacks import DynamicDeletionAttack
 from ..faults.campaign import CampaignSpec, choose_compromised
 from ..traces.gdi import GDITraceConfig
-from .runner import ScenarioRun, run_scenario
+from .runner import ScenarioRun, compute_initial_states, run_scenario
 from .scenarios import (
     additive_scenario,
     calibration_scenario,
@@ -249,9 +249,7 @@ def baseline_comparison(
     method detects *and* types.
     """
     clean = clean_scenario(n_days=n_days, seed=seed)
-    centers = initial_states_from_trace(
-        np.vstack([r.vector for r in clean.trace.records]), 6, seed=seed
-    )
+    centers = compute_initial_states(clean.columnar, clean.config, seed=seed)
     clean_seq = _observable_sequence(clean, centers)
 
     chain = MarkovChainDetector(n_states=len(centers))

@@ -31,6 +31,7 @@ tiny descriptors instead of re-reading files per attempt.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -63,36 +64,37 @@ from ..config import PipelineConfig
 from ..core.pipeline import DetectionPipeline, WindowResult
 from ..faults.campaign import CampaignSpec
 from ..resilience.chaos import SimulatedWorkerCrash, WorkerChaos
-from ..sensornet.collector import ObservationWindow
-from ..traces.gdi import GDITraceConfig, build_environment, generate_gdi_trace
+from ..sensornet.collector import ObservationWindow, windows_from_arrays
+from ..traces.columnar import ColumnarTrace, generate_gdi_trace_columnar
+from ..traces.gdi import GDITraceConfig, build_environment
 from ..traces.schema import Trace
-from ..traces.windows import window_trace_by_samples
 from .journal import CampaignJournal
 from .retry import RetryPolicy, TaskError
 
 
 def compute_initial_states(
-    trace: Trace, config: PipelineConfig, seed: int = 0
+    trace: Union[Trace, ColumnarTrace], config: PipelineConfig, seed: int = 0
 ) -> np.ndarray:
     """Table 1's initial state estimate: offline k-means on the data."""
-    observations = np.vstack([record.vector for record in trace.records])
+    if isinstance(trace, ColumnarTrace):
+        _, _, observations = trace.delivered_arrays()
+    else:
+        _, _, observations = trace.to_arrays()
     return initial_states_from_trace(
         observations, config.n_initial_states, seed=seed
     )
 
 
 def run_pipeline(
-    trace: Trace,
+    trace: Union[Trace, ColumnarTrace],
     config: Optional[PipelineConfig] = None,
     initial_states: Optional[Sequence[np.ndarray]] = None,
 ) -> DetectionPipeline:
     """Feed a full trace through a fresh pipeline and return it."""
-    config = config or PipelineConfig()
-    pipeline = DetectionPipeline(config, initial_states=initial_states)
-    for window in window_trace_by_samples(
-        trace, config.window_samples, config.sample_period_minutes
-    ):
-        pipeline.process_window(window)
+    pipeline = DetectionPipeline(
+        config or PipelineConfig(), initial_states=initial_states
+    )
+    pipeline.process_trace_fast(trace)
     return pipeline
 
 
@@ -156,8 +158,8 @@ class ScenarioRun:
     ----------
     name:
         Scenario label.
-    trace:
-        The (possibly corrupted) delivered trace.
+    columnar:
+        The (possibly corrupted) generated trace, as dense arrays.
     pipeline:
         The pipeline after consuming the trace.
     campaign:
@@ -169,11 +171,16 @@ class ScenarioRun:
     """
 
     name: str
-    trace: Trace
+    columnar: ColumnarTrace
     pipeline: DetectionPipeline
     campaign: Optional[CampaignSpec]
     config: PipelineConfig
     trace_config: GDITraceConfig
+
+    @functools.cached_property
+    def trace(self) -> Trace:
+        """The delivered trace as records, materialised on first access."""
+        return self.columnar.to_trace()
 
     @property
     def ground_truth(self) -> Dict[int, str]:
@@ -182,10 +189,8 @@ class ScenarioRun:
 
     def windows(self) -> List[ObservationWindow]:
         """Re-window the trace (for detectors that need raw windows)."""
-        return window_trace_by_samples(
-            self.trace,
-            self.config.window_samples,
-            self.config.sample_period_minutes,
+        return windows_from_arrays(
+            *self.columnar.delivered_arrays(), self.config.window_minutes
         )
 
 
@@ -217,13 +222,13 @@ def run_scenario(
     config = config or PipelineConfig()
     environment = build_environment(trace_config)
     injector = campaign.build_injector(environment) if campaign else None
-    trace = generate_gdi_trace(trace_config, corruption=injector)
+    trace = generate_gdi_trace_columnar(trace_config, corruption=injector)
     if initial_states is None and use_offline_initial_states:
         initial_states = compute_initial_states(trace, config)
     pipeline = run_pipeline(trace, config, initial_states=initial_states)
     return ScenarioRun(
         name=name,
-        trace=trace,
+        columnar=trace,
         pipeline=pipeline,
         campaign=campaign,
         config=config,
@@ -409,22 +414,21 @@ def _replay_entry(entry, spec: ScenarioSpec) -> ScenarioOutcome:
 
     The common tail of both hot paths — a :class:`TraceCache` hit and a
     shared-memory descriptor handed down by the campaign parent.  The
-    delivered arrays are re-windowed columnar-style and the planted
-    ground truth travels with the entry, so no simulation or campaign
-    rebuild happens; the outcome matches a fresh run bit-for-bit
-    (``from_cache`` aside).
+    delivered arrays are re-windowed columnar-style and consumed by the
+    fused pipeline, and the planted ground truth travels with the
+    entry, so no simulation or campaign rebuild happens; the outcome
+    matches a fresh run bit-for-bit (``from_cache`` aside).
     """
-    from ..sensornet.collector import windows_from_arrays
-
     config = PipelineConfig()
     pipeline = DetectionPipeline(config)
-    for window in windows_from_arrays(
-        entry.timestamps,
-        entry.sensor_ids,
-        entry.values,
-        config.window_minutes,
-    ):
-        pipeline.process_window(window)
+    pipeline.process_windows_fast(
+        windows_from_arrays(
+            entry.timestamps,
+            entry.sensor_ids,
+            entry.values,
+            config.window_minutes,
+        )
+    )
     return _summarize_pipeline(
         pipeline,
         name=entry.label or spec.name,
@@ -447,7 +451,7 @@ def _run_scenario_spec(
     replays the pipeline over columnar windows — no simulation, no
     campaign rebuild (the planted ground truth travels with the entry).
     The outcome is identical to a fresh run (``from_cache`` aside);
-    a miss simulates via the object-path oracle and stores the result.
+    a miss runs the scenario and stores its delivered arrays.
     """
     from . import _SCENARIO_BUILDERS
 
@@ -469,14 +473,11 @@ def _run_scenario_spec(
             return _replay_entry(entry, spec)
     run = builder(n_days=spec.n_days, seed=spec.seed)
     if cache is not None and cache_spec is not None:
-        timestamps, sensor_ids, values = run.trace.to_arrays()
         cache.store(
             cache_spec,
-            timestamps,
-            sensor_ids,
-            values,
-            attribute_names=run.trace.attribute_names,
-            metadata=run.trace.metadata,
+            *run.columnar.delivered_arrays(),
+            attribute_names=run.columnar.attribute_names,
+            metadata=run.columnar.metadata,
             ground_truth=run.ground_truth,
             label=run.name,
         )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis.offline_clustering import initial_states_from_trace
 from repro.core.classification import AnomalyType
 from repro.experiments import (
     compute_initial_states,
@@ -25,6 +26,15 @@ class TestRunner:
     def test_compute_initial_states_counts(self, clean_run):
         states = compute_initial_states(clean_run.trace, clean_run.config)
         assert states.shape == (6, 2)
+
+    def test_initial_states_identical_for_both_trace_types(self, clean_run):
+        columnar = compute_initial_states(clean_run.columnar, clean_run.config)
+        records = compute_initial_states(clean_run.trace, clean_run.config)
+        stacked = initial_states_from_trace(
+            np.vstack([r.vector for r in clean_run.trace.records]),
+            clean_run.config.n_initial_states,
+        )
+        assert columnar.tobytes() == records.tobytes() == stacked.tobytes()
 
     def test_run_pipeline_with_offline_states(self, clean_run):
         states = compute_initial_states(clean_run.trace, clean_run.config)
