@@ -174,12 +174,13 @@ class OnlineHMM:
         grown[:index, :index] = self._transition
         grown[index, index] = 1.0
         self._transition = grown
-        # Grow B with a zero-filled row, then point it at the state's own
-        # symbol (identity initialisation in the shared alphabet).
-        self._emission = np.pad(self._emission, ((0, 1), (0, 0)))
+        # Grow B with a row that points at the state's own symbol
+        # (identity initialisation in the shared alphabet).  A new
+        # symbol column already grew B to the new row count.
         self._state_visits.setdefault(state_id, 0)
         symbol_index = self._ensure_symbol(state_id)
-        self._emission[index, :] = 0.0
+        if self._emission.shape[0] <= index:
+            self._grow_emission()
         self._emission[index, symbol_index] = 1.0
         return index
 
@@ -189,9 +190,16 @@ class OnlineHMM:
             return self._symbol_index[symbol_id]
         index = len(self._symbol_index)
         self._symbol_index[symbol_id] = index
-        self._emission = np.pad(self._emission, ((0, 0), (0, 1)))
+        self._grow_emission()
         self._symbol_visits.setdefault(symbol_id, 0)
         return index
+
+    def _grow_emission(self) -> None:
+        """Zero-extend B to one row per state and one column per symbol."""
+        rows, cols = self._emission.shape
+        grown = np.zeros((len(self._state_index), len(self._symbol_index)))
+        grown[:rows, :cols] = self._emission
+        self._emission = grown
 
     # -- the §3.2 update ----------------------------------------------------
 

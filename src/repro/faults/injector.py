@@ -4,14 +4,18 @@ The :class:`FaultInjector` is the glue between :mod:`repro.faults` and
 the simulator: it is a valid
 :data:`~repro.sensornet.simulator.CorruptionStage`, holds the environment
 so adversaries can see Θ(t), dispatches per-sensor corruptors according
-to their activation schedules, and keeps a ground-truth log used by the
-evaluation metrics.
+to their activation schedules, and keeps a ground-truth log of every
+report it rewrote.  Nothing in the detection or evaluation path reads
+that log; it is there for callers and tests that want to know exactly
+what was planted.  :meth:`FaultInjector.apply_columnar` records its
+entries as arrays, and :attr:`FaultInjector.events` materializes them
+as :class:`CorruptionEvent` objects on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -48,6 +52,37 @@ class CorruptionEvent:
     malicious: bool
 
 
+@dataclass(frozen=True)
+class _EventBlock:
+    """The log entries of one :meth:`FaultInjector.apply_columnar` call.
+
+    Row ``k`` is one rewritten report, in message order; ``owners[k]``
+    indexes ``labels``, the ``(kind, malicious)`` pair of the injection
+    that rewrote it.
+    """
+
+    sensor_ids: np.ndarray
+    timestamps: np.ndarray
+    owners: np.ndarray
+    labels: Tuple[Tuple[str, bool], ...]
+
+    def materialize(self) -> List[CorruptionEvent]:
+        """The block's entries as log objects, in message order."""
+        return [
+            CorruptionEvent(
+                sensor_id=sensor_id,
+                timestamp=timestamp,
+                kind=self.labels[owner][0],
+                malicious=self.labels[owner][1],
+            )
+            for sensor_id, timestamp, owner in zip(
+                self.sensor_ids.tolist(),
+                self.timestamps.tolist(),
+                self.owners.tolist(),
+            )
+        ]
+
+
 @dataclass
 class FaultInjector:
     """Applies scheduled corruptors to the message stream.
@@ -60,11 +95,28 @@ class FaultInjector:
         The active corruption plan.  When several injections cover the
         same sensor at the same time, the first in the list wins —
         deterministic and easy to reason about in campaign specs.
+
+    The ground-truth log (:attr:`events`) is not consumed by the
+    detection or evaluation path.  Columnar blocks are kept as arrays
+    and materialized into :class:`CorruptionEvent` objects on first read.
     """
 
     environment: EnvironmentModel
     injections: List[Injection] = field(default_factory=list)
-    events: List[CorruptionEvent] = field(default_factory=list)
+    _events: List[CorruptionEvent] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _pending: List[_EventBlock] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+
+    @property
+    def events(self) -> List[CorruptionEvent]:
+        """Ground-truth log: one entry per rewritten report, in call order."""
+        for block in self._pending:
+            self._events.extend(block.materialize())
+        self._pending.clear()
+        return self._events
 
     def add(
         self,
@@ -139,7 +191,8 @@ class FaultInjector:
 
         Returns the ``(T, S)`` delivered mask: emitted reports that no
         corruptor suppressed.  The ground-truth ``events`` log receives
-        exactly the entries (and order) the scalar path would append.
+        exactly the entries (and order) the scalar path would append,
+        kept as one columnar block until it is read.
         """
         tick_times = np.asarray(tick_times, dtype=float)
         sensor_ids = np.asarray(sensor_ids)
@@ -153,7 +206,10 @@ class FaultInjector:
         # consumed even when that injection left the report unchanged.
         claimed = np.zeros((n_ticks, n_sensors), dtype=bool)
         truth_all: Optional[np.ndarray] = None
-        pending: List["tuple[int, int, str, bool]"] = []
+        changed_ticks: List[np.ndarray] = []
+        changed_sensors: List[np.ndarray] = []
+        owners: List[np.ndarray] = []
+        labels: List[Tuple[str, bool]] = []
         for injection in self.injections:
             sensor_mask = np.isin(sensor_ids, list(injection.sensor_ids))
             if not sensor_mask.any():
@@ -183,25 +239,23 @@ class FaultInjector:
             values[tt, ss] = new_values
             delivered[tt, ss] = sub_delivered
             changed = np.any(new_values != sub_values, axis=1) & sub_delivered
-            for t_idx, s_idx in zip(tt[changed], ss[changed]):
-                pending.append(
-                    (
-                        int(t_idx),
-                        int(s_idx),
-                        injection.corruptor.kind,
-                        injection.corruptor.malicious,
-                    )
-                )
-        # Interleave the per-injection event blocks back into global
-        # message order (the scalar log's order).
-        pending.sort(key=lambda item: (item[0], item[1]))
-        for t_idx, s_idx, kind, malicious in pending:
-            self.events.append(
-                CorruptionEvent(
-                    sensor_id=int(sensor_ids[s_idx]),
-                    timestamp=float(tick_times[t_idx]),
-                    kind=kind,
-                    malicious=malicious,
+            changed_ticks.append(tt[changed])
+            changed_sensors.append(ss[changed])
+            owners.append(np.full(changed_ticks[-1].size, len(labels)))
+            labels.append((injection.corruptor.kind, injection.corruptor.malicious))
+        if labels:
+            tt = np.concatenate(changed_ticks)
+            ss = np.concatenate(changed_sensors)
+            # Interleave the per-injection blocks back into global
+            # message order (the scalar log's order); claimed cells are
+            # unique, so the sort has no ties.
+            order = np.lexsort((ss, tt))
+            self._pending.append(
+                _EventBlock(
+                    sensor_ids=sensor_ids[ss[order]].astype(np.int64),
+                    timestamps=tick_times[tt[order]],
+                    owners=np.concatenate(owners)[order],
+                    labels=tuple(labels),
                 )
             )
         return delivered

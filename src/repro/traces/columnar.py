@@ -18,8 +18,9 @@ Why bit-exact equivalence is possible at all:
 * per-link loss/corruption draws are *conditionally* consumed (the
   corruption draw only happens when the packet was not lost), so the
   link stage pre-draws a bounded block of doubles from the private link
-  RNG and replays the scalar decision walk over it — over-drawing a
-  private Generator is unobservable;
+  RNG and locates the loss decisions in it in closed form (see
+  :func:`_iid_link_walk`) — over-drawing a private Generator is
+  unobservable;
 * fault/attack kernels visit reports in message order (tick-major, then
   mote order), which :meth:`FaultInjector.apply_columnar` guarantees.
 
@@ -201,29 +202,29 @@ def _iid_link_walk(
     loss_probability: float,
     corruption_probability: float,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Replay one i.i.d. link's decision walk over pre-drawn doubles.
+    """Decide one i.i.d. link's fate for every attempt from pre-drawn doubles.
 
     Returns boolean ``(lost, malformed)`` arrays aligned with
     ``attempt_ticks``.  The scalar link consumes one double for the
-    loss decision and a second one only when the packet survived; the
-    walk reproduces that conditional consumption exactly.
+    loss decision and a second one only when the packet survived, so
+    the loss decisions sit at a data-dependent subset of the ``2n``
+    pre-drawn doubles.  Draw ``k`` is a loss decision iff ``k == 0``,
+    or draw ``k-1`` was a lost decision, or draw ``k-1`` was no decision
+    (it was the previous packet's corruption draw).  Hence any draw
+    below the loss probability forces the next draw to be a decision,
+    and from each forced draw on, decisions alternate: a closed form
+    instead of a walk.
     """
     n = attempt_ticks.size
-    lost = np.zeros(n, dtype=bool)
-    malformed = np.zeros(n, dtype=bool)
-    if n == 0:
-        return lost, malformed
     draws = link_rng.random(2 * n)
-    ptr = 0
-    for i in range(n):
-        if draws[ptr] < loss_probability:
-            lost[i] = True
-            ptr += 1
-            continue
-        ptr += 1
-        if draws[ptr] < corruption_probability:
-            malformed[i] = True
-        ptr += 1
+    positions = np.arange(2 * n)
+    forced = np.empty(2 * n, dtype=bool)
+    forced[:1] = True
+    forced[1:] = draws[:-1] < loss_probability
+    last_forced = np.maximum.accumulate(np.where(forced, positions, 0))
+    decisions = np.flatnonzero(((positions - last_forced) & 1) == 0)[:n]
+    lost = draws[decisions] < loss_probability
+    malformed = ~lost & (draws[decisions + 1] < corruption_probability)
     return lost, malformed
 
 

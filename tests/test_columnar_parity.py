@@ -44,6 +44,7 @@ from repro.traces import (
     window_trace,
     window_trace_columnar,
 )
+from repro.traces.columnar import _iid_link_walk
 
 
 def assert_traces_identical(object_trace, columnar_trace) -> None:
@@ -90,6 +91,58 @@ class TestCleanTraceParity:
             assert timestamps[row] == record.timestamp
             assert int(sensor_ids[row]) == record.sensor_id
             assert tuple(values[row]) == record.attributes
+
+
+def scalar_link_walk(link_rng, n, loss_probability, corruption_probability):
+    """Oracle: the scalar link's decision walk over ``2n`` pre-drawn doubles.
+
+    One double decides loss; a second is consumed only when the packet
+    survived, and decides corruption.
+    """
+    lost = np.zeros(n, dtype=bool)
+    malformed = np.zeros(n, dtype=bool)
+    draws = link_rng.random(2 * n)
+    ptr = 0
+    for i in range(n):
+        if draws[ptr] < loss_probability:
+            lost[i] = True
+            ptr += 1
+            continue
+        ptr += 1
+        if draws[ptr] < corruption_probability:
+            malformed[i] = True
+        ptr += 1
+    return lost, malformed
+
+
+def _walk_probabilities():
+    rng = np.random.default_rng(41)
+    probabilities = [0.0, 1.0, *rng.random(3).tolist()]
+    return [(loss, corr) for loss in probabilities for corr in probabilities]
+
+
+class TestIidLinkWalk:
+    @pytest.mark.parametrize("n", [0, 1, 2, 6048])
+    @pytest.mark.parametrize("loss,corruption", _walk_probabilities())
+    def test_matches_scalar_walk(self, n, loss, corruption):
+        seed = 1000 + n
+        lost, malformed = _iid_link_walk(
+            np.random.default_rng(seed), np.arange(n), loss, corruption
+        )
+        oracle_lost, oracle_malformed = scalar_link_walk(
+            np.random.default_rng(seed), n, loss, corruption
+        )
+        assert lost.dtype == bool and malformed.dtype == bool
+        assert lost.tolist() == oracle_lost.tolist()
+        assert malformed.tolist() == oracle_malformed.tolist()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 6048])
+    def test_consumes_exactly_two_draws_per_attempt(self, n):
+        walked = np.random.default_rng(77)
+        _iid_link_walk(walked, np.arange(n), 0.3, 0.2)
+        bare = np.random.default_rng(77)
+        bare.random(2 * n)
+        assert walked.bit_generator.state == bare.bit_generator.state
 
 
 def _make_injector(environment, name: str) -> FaultInjector:

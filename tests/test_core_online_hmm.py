@@ -101,6 +101,78 @@ class TestOpenAlphabet:
         assert hmm.n_updates == 3
 
 
+class PadGrowthHMM(OnlineHMM):
+    """Reference: the estimator growing B one ``np.pad`` at a time."""
+
+    def _ensure_state(self, state_id):
+        if state_id in self._state_index:
+            return self._state_index[state_id]
+        index = len(self._state_index)
+        self._state_index[state_id] = index
+        grown = np.zeros((index + 1, index + 1))
+        grown[:index, :index] = self._transition
+        grown[index, index] = 1.0
+        self._transition = grown
+        self._emission = np.pad(self._emission, ((0, 1), (0, 0)))
+        self._state_visits.setdefault(state_id, 0)
+        symbol_index = self._ensure_symbol(state_id)
+        self._emission[index, :] = 0.0
+        self._emission[index, symbol_index] = 1.0
+        return index
+
+    def _ensure_symbol(self, symbol_id):
+        if symbol_id in self._symbol_index:
+            return self._symbol_index[symbol_id]
+        index = len(self._symbol_index)
+        self._symbol_index[symbol_id] = index
+        self._emission = np.pad(self._emission, ((0, 0), (0, 1)))
+        self._symbol_visits.setdefault(symbol_id, 0)
+        return index
+
+
+def random_stream(seed: int, length: int = 400):
+    """(state, symbol) pairs mixing new states, new symbols and ⊥."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(length):
+        state = int(rng.integers(0, 12))
+        roll = rng.random()
+        if roll < 0.25:
+            symbol = BOTTOM_STATE_ID
+        elif roll < 0.5:
+            symbol = int(rng.integers(12, 30))  # never a state id
+        else:
+            symbol = int(rng.integers(0, 12))
+        pairs.append((state, symbol))
+    return pairs
+
+
+class TestGrowth:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_state_dict_bit_equal_to_pad_growth(self, seed):
+        hmm, reference = OnlineHMM(), PadGrowthHMM()
+        for state, symbol in random_stream(seed):
+            hmm.observe(state, symbol)
+            reference.observe(state, symbol)
+        assert len(hmm.symbol_ids) > len(hmm.state_ids) > 1
+        assert hmm.state_dict() == reference.state_dict()
+
+    def test_state_dict_round_trip_restores_growth(self):
+        # Restore early, so the restored estimator keeps growing.
+        stream = random_stream(3)
+        hmm = OnlineHMM()
+        for state, symbol in stream[:10]:
+            hmm.observe(state, symbol)
+        restored = OnlineHMM.from_state_dict(hmm.state_dict())
+        assert restored.state_dict() == hmm.state_dict()
+        n_symbols = len(hmm.symbol_ids)
+        for state, symbol in stream[10:]:
+            hmm.observe(state, symbol)
+            restored.observe(state, symbol)
+        assert len(hmm.symbol_ids) > n_symbols
+        assert restored.state_dict() == hmm.state_dict()
+
+
 class TestSnapshots:
     def test_min_visits_filters_states(self):
         hmm = OnlineHMM()

@@ -13,6 +13,7 @@ from repro.faults import (
     StuckAtFault,
     choose_compromised,
 )
+from repro.faults import injector as injector_module
 from repro.sensornet import ConstantEnvironment, SensorMessage
 
 
@@ -88,6 +89,85 @@ class TestFaultInjector:
         injector = FaultInjector(environment=ConstantEnvironment())
         with pytest.raises(ValueError):
             injector.add(StuckAtFault(), [])
+
+
+def two_fault_injector() -> FaultInjector:
+    injector = FaultInjector(environment=ConstantEnvironment())
+    injector.add(StuckAtFault(value=(0.0, 0.0)), [2])
+    injector.add(AdditiveFault(), [0])
+    return injector
+
+
+def report_grid(start: float):
+    """Three motes, four ticks of identical reports starting at ``start``."""
+    tick_times = start + 5.0 * np.arange(4)
+    values = np.tile(np.array([20.0, 75.0]), (4, 3, 1))
+    return tick_times, np.arange(3), values
+
+
+def event_key(event):
+    return (event.sensor_id, event.timestamp, event.kind, event.malicious)
+
+
+class TestEventLog:
+    def test_scalar_and_columnar_entries_read_back_in_call_order(self):
+        injector = two_fault_injector()
+        oracle = two_fault_injector()
+        # Call order, not time order: the first scalar report is the latest.
+        calls = [
+            ("scalar", 200.0),
+            ("columnar", 0.0),
+            ("scalar", 50.0),
+            ("columnar", 100.0),
+        ]
+        for how, start in calls:
+            if how == "scalar":
+                injector(msg(2, t=start))
+                oracle(msg(2, t=start))
+                continue
+            tick_times, sensor_ids, values = report_grid(start)
+            injector.apply_columnar(tick_times, sensor_ids, values)
+            for t in tick_times:
+                for s in sensor_ids:
+                    oracle(msg(int(s), t=float(t)))
+        assert injector.events == oracle.events
+        assert [event_key(e) for e in injector.events[:3]] == [
+            (2, 200.0, "stuck_at", False),
+            (0, 0.0, "additive", False),
+            (2, 0.0, "stuck_at", False),
+        ]
+        assert [e.timestamp for e in injector.events] == [
+            200.0, 0.0, 0.0, 5.0, 5.0, 10.0, 10.0, 15.0, 15.0,
+            50.0, 100.0, 100.0, 105.0, 105.0, 110.0, 110.0, 115.0, 115.0,
+        ]
+
+    def test_events_by_sensor_groups_columnar_entries(self):
+        injector = two_fault_injector()
+        injector.apply_columnar(*report_grid(0.0))
+        injector(msg(0, t=30.0))
+        grouped = injector.events_by_sensor()
+        assert sorted(grouped) == [0, 2]
+        assert [e.timestamp for e in grouped[0]] == [0.0, 5.0, 10.0, 15.0, 30.0]
+        assert {e.kind for e in grouped[0]} == {"additive"}
+        assert [e.timestamp for e in grouped[2]] == [0.0, 5.0, 10.0, 15.0]
+
+    def test_apply_columnar_defers_building_log_objects(self, monkeypatch):
+        built = []
+
+        class CountingEvent(injector_module.CorruptionEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(injector_module, "CorruptionEvent", CountingEvent)
+        injector = two_fault_injector()
+        injector.apply_columnar(*report_grid(0.0))
+        injector.apply_columnar(*report_grid(100.0))
+        assert built == []
+        events = injector.events
+        assert len(built) == len(events) == 16
+        assert injector.events is events
+        assert len(built) == 16
 
 
 class TestCampaignSpec:
