@@ -47,9 +47,10 @@ flags soak-test it with seeded worker-level faults) and prints one
 verdict line each; ``bench``
 times the hot kernels and writes (or, with ``--check``, verifies)
 ``BENCH_pipeline.json`` (``--profile`` appends a cProfile table of the
-fused hot path); ``parity`` replays one trace through the per-window
-oracle and the fused fast path and exits non-zero unless digests,
-snapshots, and per-window results match exactly (``--fleet`` instead
+fused hot path); ``parity`` replays the clean, faulty-sensors and
+deletion traces through the per-window oracle and the fused fast path
+and exits non-zero unless digests, snapshots, and per-window results
+match exactly (``--fleet`` instead
 packs a heterogeneous tenant fleet into one batched
 :class:`~repro.fleet.FleetEngine` and checks every tenant against its
 own independent run); ``fleet-bench`` measures the fleet engine's

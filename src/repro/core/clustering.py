@@ -36,6 +36,31 @@ import numpy as np
 from .states import ModelState, StateSet
 
 
+def grouped_means(
+    points: List[List[float]], groups: Sequence[Sequence[int]]
+) -> List[List[float]]:
+    """Per-group means of ``points`` rows, in Python floats.
+
+    ``groups`` lists each group's row indices in ascending order.  Each
+    column is summed sequentially in row order, starting from the +0.0
+    identity as NumPy's add reduction does (so a column of -0.0 sums to
+    +0.0), then divided by the group size: bit-identical to
+    ``np.mean(np.asarray(points)[rows], axis=0)`` whenever each point has
+    d >= 2 attributes (NumPy reduces a strided column sequentially; a
+    d == 1 column is contiguous and summed pairwise instead).
+    """
+    means: List[List[float]] = []
+    for rows in groups:
+        acc = [0.0] * len(points[rows[0]])
+        for row in rows:
+            point = points[row]
+            for t in range(len(acc)):
+                acc[t] += point[t]
+        n = len(rows)
+        means.append([value / n for value in acc])
+    return means
+
+
 @dataclass(frozen=True)
 class ClusterUpdate:
     """What one window's clustering pass did.
@@ -406,6 +431,29 @@ class OnlineStateClusterer:
         groups: Dict[int, List[int]] = {}
         for row_index, state_id in enumerate(assignments):
             groups.setdefault(state_id, []).append(row_index)
+        moved = list(groups)
+        if observations.shape[1] >= 2:
+            # One grouped-sum pass in Python floats: for d >= 2,
+            # ``np.mean(observations[rows], axis=0)`` reduces each column
+            # over strided data, i.e. sequentially in row order — the
+            # order ``grouped_means`` adds in — so the group means, and
+            # the Eq. 6 step taken with the same two roundings per
+            # element, are bit-identical to the per-group NumPy update.
+            keep = 1.0 - self.alpha
+            alpha = self.alpha
+            matrix, ids = self.states._ensure_cache()
+            current = matrix[[ids.index(s) for s in moved]].tolist()
+            goals = grouped_means(observations.tolist(), list(groups.values()))
+            stepped = [
+                [keep * c + alpha * g for c, g in zip(vector, goal)]
+                for vector, goal in zip(current, goals)
+            ]
+            self.states.update_vectors(moved, stepped)
+            for state_id in moved:
+                self.states.get(state_id).visits += 1
+            return moved
+        # A d == 1 column is contiguous, so np.mean sums it pairwise;
+        # no sequential grouped sum can match that bit-for-bit.
         for state_id, row_indices in groups.items():
             state = self.states.get(state_id)
             group_mean = np.mean(observations[row_indices], axis=0)
@@ -414,7 +462,7 @@ class OnlineStateClusterer:
                 (1.0 - self.alpha) * state.vector + self.alpha * group_mean,
             )
             state.visits += 1
-        return list(groups)
+        return moved
 
     def _merge_close_states(self) -> List["tuple[int, int]"]:
         """Repeatedly merge the closest pair while it is under threshold."""

@@ -621,43 +621,68 @@ class VectorFilterBank:
         self._pos_sync = advanced
         self._updates[:live] += 1
 
-    def quiescent_all_false(self, sensor_ids: np.ndarray) -> bool:
-        """True when all-False updates over this exact id set are pure
-        positional advances.
+    @property
+    def settle_windows(self) -> Optional[int]:
+        """Identical updates after which :meth:`quiescent` holds: ``n``
+        for k-of-n (every ring cell rewritten), None for the kinds that
+        never settle."""
+        return self.n if self.kind == "k_of_n" else None
 
-        Holds for a lockstep k-of-n bank whose rings are all empty
-        (``count == 0`` implies every ring cell is False): evicting
-        False and inserting False leaves counts, rings, and active flags
-        untouched — only the shared write position and the per-slot
-        update counters move.  ``sensor_ids`` must cover every live slot
-        in ascending order (the ``full`` shape), or partial updates
-        would desync positions.  SPRT/CUSUM statistics decay toward
-        their rest state rather than sitting at it, so they never
-        qualify.
+    def quiescent(self, sensor_ids: np.ndarray, raws: np.ndarray) -> bool:
+        """True when updating this exact id set with these raw alarms is
+        a pure positional advance.
+
+        Holds for a k-of-n bank whose every updated ring is uniform and
+        equal to its sensor's raw value: ``count == 0`` for a False raw
+        (every ring cell is False) and ``count == n`` for a True one
+        (every cell is True).  Evicting a value and inserting the same
+        value leaves counts, rings and active flags untouched — only the
+        write positions and the per-slot update counters move.  A k-of-n
+        ring fed the same value for ``n`` windows always gets there.
+        SPRT/CUSUM statistics keep moving under a constant input rather
+        than sitting still, so they never qualify.
         """
-        if self.kind != "k_of_n" or self._pos_sync is None:
+        if self.kind != "k_of_n":
             return False
         slots, full = self._slots_for(sensor_ids)
-        if not full or len(slots) == 0:
+        if len(slots) == 0:
             return False
-        return not self._count[: len(slots)].any()
+        sel: "object" = slice(0, len(slots)) if full else slots
+        # count is n (all True) or 0 (all False) as the raw says, and the
+        # active flag agrees with it (count >= k, with 1 <= k <= n).
+        return bool(
+            (self._count[sel] == raws * self.n).all()
+            and (self._active[sel] == raws).all()
+        )
 
-    def advance_quiescent(self, count: int) -> None:
-        """Apply ``count`` deferred all-False windows in O(1).
+    def quiescent_all_false(self, sensor_ids: np.ndarray) -> bool:
+        """:meth:`quiescent` for an all-False window (a unanimous one)."""
+        raws = np.zeros(len(sensor_ids), dtype=bool)
+        return self.quiescent(sensor_ids, raws)
 
-        Only valid immediately after :meth:`quiescent_all_false`
-        returned True and no other update ran since: positions advance
-        ``count`` steps, update counters grow by ``count``, everything
-        else is provably unchanged.
+    def advance_quiescent(self, count: int, sensor_ids: np.ndarray) -> None:
+        """Apply ``count`` deferred windows over ``sensor_ids`` in O(1).
+
+        Only valid while :meth:`quiescent` holds for these ids and the
+        raw alarms the deferred windows carried, with no other update in
+        between: positions advance ``count`` steps and update counters
+        grow by ``count`` — exactly what ``count`` calls of
+        :meth:`update_batch` would leave, lockstep bookkeeping included —
+        and everything else is provably unchanged.
         """
         if count <= 0:
             return
-        live = len(self._slot_of)
-        assert self._pos_sync is not None
-        advanced = (self._pos_sync + count) % self.n
-        self._pos[:live] = advanced
-        self._pos_sync = advanced
-        self._updates[:live] += count
+        slots, full = self._slots_for(sensor_ids)
+        if full and self._pos_sync is not None:
+            live = len(slots)
+            advanced = (self._pos_sync + count) % self.n
+            self._pos[:live] = advanced
+            self._pos_sync = advanced
+            self._updates[:live] += count
+        else:
+            self._pos_sync = None
+            self._pos[slots] = (self._pos[slots] + count) % self.n
+            self._updates[slots] += count
 
     def _update_k_of_n(self, slots: np.ndarray, raws: np.ndarray) -> None:
         # Ring cells that were never written are False (allocation and

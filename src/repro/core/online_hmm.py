@@ -238,6 +238,38 @@ class OnlineHMM:
         self._pair_counts[pair] = self._pair_counts.get(pair, 0) + 1
         self._n_updates += 1
 
+    def observe_run(
+        self, hidden_state_id: int, symbol_id: int, count: int
+    ) -> None:
+        """``count`` successive :meth:`observe` calls with one pair.
+
+        Bit-identical to the loop: the first call updates as usual; the
+        repeats cannot touch ``A`` (the state does not change) and only
+        replay the emission row's two roundings per entry, which Python
+        floats perform exactly like the in-place NumPy row update —
+        without a pair of tiny array kernels per window.
+        """
+        if count <= 0:
+            return
+        self.observe(hidden_state_id, symbol_id)
+        repeats = count - 1
+        if not repeats:
+            return
+        rate = self.emission_innovation
+        keep = 1.0 - rate
+        row = self._emission[self._state_index[hidden_state_id]]
+        column = self._symbol_index[symbol_id]
+        values = row.tolist()
+        for _ in range(repeats):
+            values = [value * keep for value in values]
+            values[column] += rate
+        row[:] = values
+        self._state_visits[hidden_state_id] += repeats
+        self._symbol_visits[symbol_id] += repeats
+        pair = (hidden_state_id, symbol_id)
+        self._pair_counts[pair] += repeats
+        self._n_updates += repeats
+
     # -- snapshots ------------------------------------------------------------
 
     @property

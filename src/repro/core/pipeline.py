@@ -38,54 +38,103 @@ from .classification import (
     classify_system,
     classify_track,
 )
-from .clustering import ClusterUpdate, OnlineStateClusterer
+from .clustering import ClusterUpdate, OnlineStateClusterer, grouped_means
 from .filtering import FilterBank, FilterTransition, VectorFilterBank
 from .identification import WindowIdentification, identify_window
 from .markov import MarkovModel, estimate_markov_model
 from .online_hmm import OnlineHMM
 from .tracks import ErrorAttackTrack, TrackManager
 
+
 class _SteadyStretch:
     """Mutable context for one certified steady-state stretch.
 
-    Tracks the Python-float evolution of the unanimous centroid (``c``),
-    the static other-state vectors the certificates are measured
-    against, and the deferred visit / alarm-history / filter-advance
-    counts folded back into the live modules at stretch exit.
+    The stretch holds a fixed partition of the window's sensors into
+    ``k >= 1`` groups, each sitting in its own model state.  It tracks
+    the Python-float evolution of every live state vector, the deferred
+    per-state visit counts, and the deferred alarm-history /
+    filter-advance counts folded back into the live modules at stretch
+    exit.
     """
 
     __slots__ = (
-        "sid",
-        "c",
+        "sids",
+        "rows",
+        "ids",
+        "current",
         "visits",
-        "others",
-        "zeros",
+        "majority",
+        "majority_size",
+        "assign",
+        "alarming",
+        "raws",
         "steady_ids",
         "alarm_count",
-        "filter_defer",
+        "filter_ids",
         "filter_count",
+        "filter_check",
+        "regroup",
+        "runs",
     )
 
     def __init__(
-        self, sid: int, c: List[float], others: List[List[float]]
+        self,
+        sids: List[int],
+        ids: List[int],
+        current: List[List[float]],
+        rows: Optional[List[List[int]]] = None,
+        steady_ids: Optional[List[int]] = None,
     ) -> None:
-        self.sid = sid
-        self.c = c
-        self.visits = 0
-        #: vectors of every *other* live state (static for the whole
-        #: stretch — a move/spawn/merge would have ended it)
-        self.others = others
-        #: per-sensor-count cached all-False raw-alarm arrays
-        self.zeros: Dict[int, np.ndarray] = {}
-        #: the stretch's sensor-id set (pinned on the first certified
-        #: window; a different set breaks the stretch)
-        self.steady_ids: Optional[List[int]] = None
+        #: state id of each group, in group first-occurrence order
+        self.sids = sids
+        #: each group's sorted sensor positions (None: one group holding
+        #: every sensor of the window)
+        self.rows = rows
+        #: every live state id, in id order, and its current vector (a
+        #: spawn or merge would have ended the stretch, so the set of
+        #: live states is fixed)
+        self.ids = ids
+        self.current = current
+        #: state id -> Eq. 6 visits deferred to the stretch exit
+        self.visits: Dict[int, int] = {}
+        self.majority = 0
+        self.majority_size = 0
+        #: per sorted sensor position: its state id / raw-alarm flag
+        #: (None while unanimous: every sensor agrees)
+        self.assign: Optional[List[int]] = None
+        self.alarming: Optional[List[bool]] = None
+        #: the raw-alarm array fed to the filter bank every window
+        self.raws: Optional[np.ndarray] = None
+        if rows is not None:
+            sizes = [len(members) for members in rows]
+            self.majority_size = max(sizes)
+            self.majority = sizes.index(self.majority_size)
+            group_of = [0] * sum(sizes)
+            for group, members in enumerate(rows):
+                for position in members:
+                    group_of[position] = group
+            self.assign = [sids[group] for group in group_of]
+            self.alarming = [group != self.majority for group in group_of]
+            self.raws = np.array(self.alarming)
+        #: the stretch's sensor-id set (pinned on entry for a partition,
+        #: else on the first certified window; a different set breaks
+        #: the stretch)
+        self.steady_ids = steady_ids
         #: alarm-history windows deferred for batch append at exit
         self.alarm_count = 0
-        #: True when the filter bank certified all-False quiescence
-        self.filter_defer = False
+        #: the sensor-id array once the filter bank certified quiescence
+        #: under the stretch's raw alarms (see ``quiescent``)
+        self.filter_ids: Optional[np.ndarray] = None
         #: filter windows deferred for ``advance_quiescent`` at exit
         self.filter_count = 0
+        #: the certified-window count at which to check quiescence next
+        self.filter_check: float = 0
+        #: a coarser partition (per sorted sensor position: its state id)
+        #: to retry a window on after a failed step, or None
+        self.regroup: Optional[List[int]] = None
+        #: pending runs of equal pairs for ``M_CO`` and the open tracks:
+        #: ``id(model or track) -> [record, first, second, count]``
+        self.runs: Dict[int, list] = {}
 
 
 @dataclass(frozen=True)
@@ -174,6 +223,8 @@ class DetectionPipeline:
         self._results: List[WindowResult] = []
         self._pending_results: List[tuple] = []
         self._n_windows = 0
+        #: Raw alarms a restored checkpoint carried in (see n_raw_alarms).
+        self._restored_raw_alarms = 0
         #: Non-finite per-sensor readings dropped by the input guard.
         self.n_non_finite_dropped = 0
         #: Runtime invariant supervisor (None when supervisor_mode is
@@ -388,6 +439,17 @@ class DetectionPipeline:
         return self._results
 
     @property
+    def n_raw_alarms(self) -> int:
+        """Raw alarms this pipeline object emitted.
+
+        Equals ``sum(len(r.raw_alarms) for r in self.results)`` without
+        materializing the results.  A pipeline rebuilt by :meth:`restore`
+        starts from zero: the alarm log it restored belongs to the
+        windows before the checkpoint, which its results do not hold.
+        """
+        return len(self.alarm_generator.alarms) - self._restored_raw_alarms
+
+    @property
     def supervisor_violations(self) -> int:
         """Number of invariant violations recorded by the supervisor.
 
@@ -463,16 +525,24 @@ class DetectionPipeline:
             with np.errstate(over="ignore"):
                 for i, window in enumerate(windows):
                     stat = stats[i]
-                    if steady is not None:
+                    while steady is not None:
                         if self._steady_step(window, stat, i, steady):
-                            continue
+                            break
                         self._steady_exit(steady)
-                        steady = None
-                    hint = self._process_window_fast(
-                        window, stat, vector_bank
-                    )
-                    if hint is not None and self.supervisor is None:
-                        steady = self._steady_enter(hint)
+                        # A failed step may offer a coarser partition (two
+                        # groups met in one state): retry the window on it.
+                        steady = (
+                            None
+                            if steady.regroup is None
+                            else self._steady_enter(steady.regroup, stat)
+                        )
+                    else:
+                        # No stretch certified the window: full path.
+                        hint = self._process_window_fast(
+                            window, stat, vector_bank
+                        )
+                        if hint is not None and self.supervisor is None:
+                            steady = self._steady_enter(hint, stat)
         finally:
             if steady is not None:
                 self._steady_exit(steady)
@@ -487,11 +557,13 @@ class DetectionPipeline:
         window: ObservationWindow,
         stat: "Optional[tuple]",
         vector_bank: VectorFilterBank,
-    ) -> Optional[int]:
+    ) -> "Optional[int | List[int]]":
         """One fused-path window step (mirrors :meth:`process_window`).
 
         Returns the unanimous state id when the window qualifies as a
-        steady-stretch entry point (see ``_steady_step``), else None.
+        steady-stretch entry point (see ``_steady_step``), the per-sensor
+        state ids (sorted sensor order) when a multi-group window does,
+        else None.
         """
         self._n_windows += 1
         supervisor = self.supervisor
@@ -604,9 +676,10 @@ class DetectionPipeline:
         if supervisor is not None:
             supervisor.after_window(self)
             return None
-        # Steady-stretch entry hint: a trusted window that ended
-        # unanimous with no structural change is a candidate for the
-        # certified fast lane (see ``_steady_step``).
+        # Steady-stretch entry hint: a trusted window with no structural
+        # change is a candidate for the certified fast lane (see
+        # ``_steady_step``).  A unanimous window hands over its state id;
+        # any other hands over its partition of the sensors.
         if (
             trusted
             and full_mean is not None
@@ -616,9 +689,10 @@ class DetectionPipeline:
         ):
             n = len(assignments)
             c = assignments[0]
+            if assignments.count(c) != n:
+                return assignments
             if (
-                assignments.count(c) == n
-                and cluster_update.observable_state == c
+                cluster_update.observable_state == c
                 and cluster_update.assignments.count(c) == n
             ):
                 return c
@@ -626,37 +700,65 @@ class DetectionPipeline:
 
     # -- certified steady-state stretch ---------------------------------
     #
-    # The dominant regime of a healthy trace is: every sensor mean maps
-    # to the same state c, nothing spawns or merges, and only c moves
-    # (one Eq. 6 step toward the window mean).  In that regime the whole
-    # window's observable behaviour is determined by integers already
-    # known (all assignments = c), and the only float state that evolves
-    # outside the filter/HMM modules is c's vector — a per-window scalar
-    # recurrence `c <- (1-alpha)*c + alpha*g` that Python floats compute
-    # with the exact same two roundings per element as the oracle's
-    # NumPy expression.
+    # Most windows repeat the previous window's picture: the sensors
+    # split into the same k >= 1 groups (k = 1 on a healthy trace; a
+    # faulty or compromised minority forms its own groups), each group
+    # sits in its own model state, nothing spawns or merges, and each
+    # group's state takes one Eq. 6 step toward the group's centroid.
+    # Then every integer the window produces (assignments, o_i, c_i, raw
+    # alarms) follows from the partition, and the only float state that
+    # evolves outside the filter/HMM modules is the moved centroids — a
+    # per-window recurrence ``c <- (1-alpha)*c + alpha*g`` that Python
+    # floats compute with the same two roundings per element as the
+    # oracle's NumPy expression.
     #
-    # The stretch path therefore skips the distance kernels entirely and
-    # instead *proves*, per window and in a handful of scalar float ops,
-    # that the oracle would have produced the unanimous no-change
-    # outcome.  With g the window centroid (the precomputed full group
-    # mean), s the precomputed spread (max distance from g to any of the
-    # window's points, overall mean included), and delta the length of
-    # c's Eq. 6 step this window, the triangle inequality gives for
-    # every window point p, against both the pre-move c and the
-    # post-move c (which is at most delta farther from everything):
+    # The stretch path therefore skips the distance kernels and instead
+    # *proves*, per window and in scalar float ops, that the oracle would
+    # have produced that outcome.  Per group j (the sensors of the
+    # window that entered or last continued the stretch): g_j is the
+    # centroid (sequential sum of the member means over n_j, bit-equal
+    # to the oracle's ``np.mean`` for d >= 2; for k = 1 the prepass's
+    # full group mean), s_j the spread (largest distance from g_j to a
+    # member; for k = 1 the prepass spread, which also covers the
+    # overall mean), c_j the nearest pre-move state to g_j (so a group
+    # may hand off to another state; the k states must stay distinct),
+    # and delta_j the length of c_j's Eq. 6 step.  Every other state X
+    # moves by delta_X (delta_i when X is group i's state, else 0).  The
+    # triangle inequality gives, for every member p of group j:
     #
-    # * d(p, c) <= d(g, c) + s + delta — so
-    #   ``d(g, c) + s + delta <= spawn_threshold`` rules out every spawn
-    #   check (they all need a distance *above* the threshold), the
-    #   overall-mean spawn included.
-    # * d(p, X) >= d(g, X) - s for any other state X — so
-    #   ``d(g, c) + 2 s + delta < min_X d(g, X)`` keeps every point
-    #   strictly nearer to c than to any other state, and every argmin
-    #   (the tie-break included) lands on c, for Eq. 3 and the Eq. 2
-    #   overall-mean assignment alike.
+    # * d(p, c_j) <= d(g_j, c_j) + s_j pre-move, + delta_j post-move — so
+    #   ``d(g_j, c_j) + s_j + delta_j <= spawn_threshold`` rules out
+    #   every spawn check (they all need a distance *above* it).
+    # * d(p, X) >= d(g_j, X) - s_j - delta_X for X pre- or post-move — so
+    #   ``d(g_j, c_j) + 2 s_j + delta_j < min_X (d(g_j, X) - delta_X)``
+    #   keeps p strictly nearer to c_j than to any other state, before
+    #   and after the update: the Eq. 3 assignments before the update,
+    #   the group the Eq. 6 step averages, and the final assignments
+    #   all land on c_j (no argmin tie-break can intervene).
+    #   When these bounds are too loose for a group (a wide spread, or
+    #   a centroid between two states), its members are checked one by
+    #   one against the pre- and post-move states (``_members_hold``).
+    # * the overall mean m (k > 1, or whenever a group was checked member
+    #   by member; otherwise it lies within s_1 of g_1) is measured
+    #   against the post-move states directly: its nearest state o
+    #   within ``spawn_threshold`` rules out the mean spawn, and a strict
+    #   margin to the runner-up fixes Eq. 2's o_i = o.
     # * the certified pair-distance lower bound (see ``StateSet``),
-    #   decayed by delta, staying >= merge_threshold rules out merges.
+    #   decayed once per moved state in group order exactly as
+    #   ``update_vector`` would, staying >= merge_threshold rules out
+    #   merges.  When the decay has eaten the margin, every pair of
+    #   post-move states is measured and the stretch continues on the
+    #   measured minimum.  (The bound only decides whether the merge
+    #   scan runs; any valid lower bound leaves every result unchanged.)
+    #
+    # The group sizes are fixed by the partition, so the majority group
+    # (Eq. 4's c_i) is fixed too; a partition whose largest groups tie
+    # never enters a stretch (``identify_window`` breaks that tie by
+    # distances).  Since the k states are distinct, each sensor's raw
+    # alarm flag is fixed as well: exactly the minority groups alarm,
+    # and once a k-of-n filter bank has seen that constant pattern for
+    # n windows every further window only advances its rings
+    # (``VectorFilterBank.quiescent``), so those advances are deferred.
     #
     # Every certificate is padded by an absolute + relative slack so
     # float rounding in these scalar evaluations can never certify a
@@ -665,19 +767,32 @@ class DetectionPipeline:
     # is written back first) and reprocesses through the full fused
     # path — certification is a pure go/no-go, never a result.
 
-    def _steady_enter(self, state_id: int) -> "_SteadyStretch":
+    def _steady_enter(
+        self, hint: "int | List[int]", stat: tuple
+    ) -> "Optional[_SteadyStretch]":
+        """Open a stretch from an entry hint: a state id (every sensor in
+        it) or each sorted sensor position's state id.  None when the
+        partition's largest groups tie."""
         assert self.clusterer is not None
-        states = self.clusterer.states
-        matrix, ids = states._ensure_cache()
-        state = states.get(state_id)
-        others = [
-            (sid, row)
-            for row, sid in zip(matrix.tolist(), ids)
-            if sid != state_id
-        ]
-        return _SteadyStretch(
-            state_id, [float(x) for x in state.vector], others
-        )
+        matrix, ids = self.clusterer.states._ensure_cache()
+        ids = list(ids)
+        current = matrix.tolist()
+        if isinstance(hint, int):
+            return _SteadyStretch([hint], ids, current)
+        group_of: Dict[int, int] = {}
+        rows: List[List[int]] = []
+        for position, state_id in enumerate(hint):
+            group = group_of.get(state_id)
+            if group is None:
+                group = group_of[state_id] = len(rows)
+                rows.append([])
+            rows[group].append(position)
+        if len(rows) == 1:
+            return _SteadyStretch([hint[0]], ids, current)
+        sizes = sorted(len(members) for members in rows)
+        if sizes[-1] == sizes[-2]:
+            return None
+        return _SteadyStretch(list(group_of), ids, current, rows, stat[0])
 
     def _steady_step(
         self,
@@ -688,9 +803,10 @@ class DetectionPipeline:
     ) -> bool:
         """Process one window inside a certified stretch.
 
-        Returns False — mutating nothing — when the window cannot be
-        certified; the caller then writes the deferred state back and
-        runs the full fused path on the same window.
+        Returns False when the window cannot be certified, leaving the
+        live modules untouched; the caller then writes the deferred
+        state back and retries the window on ``ctx.regroup`` when the
+        step left one there, else runs the full fused path on it.
         """
         if stat is None:
             return False
@@ -700,164 +816,250 @@ class DetectionPipeline:
             return False
         ids_sorted = stat[0]
         if ctx.steady_ids is None:
-            # First certified window pins the stretch's sensor set and
-            # decides once whether filter updates can be deferred.
+            # First certified window of a unanimous stretch pins its
+            # sensor set.
             ctx.steady_ids = ids_sorted
-            ctx.filter_defer = self.filter_bank.quiescent_all_false(stat[1])
-        elif ids_sorted != ctx.steady_ids:
-            # A different sensor population invalidates the deferred
-            # alarm/filter bookkeeping — rejoin the full path.
+            ctx.raws = np.zeros(len(ids_sorted), dtype=bool)
+        elif ids_sorted is not ctx.steady_ids and ids_sorted != ctx.steady_ids:
+            # A different sensor population invalidates the partition
+            # and the deferred alarm/filter bookkeeping — rejoin the
+            # full path.
             return False
         clusterer = self.clusterer
         assert clusterer is not None
-        goal = full_mean.tolist()
-        c = ctx.c
         alpha = clusterer.alpha
         keep = 1.0 - alpha
-        dims = len(c)
-        new_c = list(c)
-        moved_sq = 0.0
-        gc_sq = 0.0
-        for t in range(dims):
-            g_t = goal[t]
-            c_t = c[t]
-            value = keep * c_t + alpha * g_t
-            new_c[t] = value
-            step = value - c_t
-            moved_sq += step * step
-            away = g_t - c_t
-            gc_sq += away * away
-        delta = math.sqrt(moved_sq)
-        reach = math.sqrt(gc_sq) + spread + delta
-        min_other_sq = math.inf
-        second_sq = math.inf
-        min_idx = -1
-        for idx, (_, vector) in enumerate(ctx.others):
-            acc = 0.0
-            for t in range(dims):
-                diff = goal[t] - vector[t]
-                acc += diff * diff
-            if acc < min_other_sq:
-                second_sq = min_other_sq
-                min_other_sq = acc
-                min_idx = idx
-            elif acc < second_sq:
-                second_sq = acc
-        min_other = math.sqrt(min_other_sq)
-        pad = 1e-9 + 1e-12 * (reach + spread)
-        if (
-            reach + pad <= clusterer.spawn_threshold
-            and reach + spread + pad < min_other * (1.0 - 1e-12) - 1e-9
-        ):
-            bound = clusterer.states.peek_decayed_pair_bound(delta)
-            if bound is None or not bound >= clusterer.merge_threshold:
-                return False
-            clusterer.states.commit_pair_bound(bound)
-            ctx.c = new_c
-            ctx.visits += 1
-        elif min_idx >= 0 and min_other_sq < gc_sq:
-            # The window centroid sits strictly inside another state's
-            # basin: the environment transitioned.  Certify the window
-            # against that nearest state c' directly — every point is
-            # within ``spread`` of g, so d(p, c') <= d(g, c') + spread
-            # pre-move (+ delta2 post-move), and the margin against any
-            # third state (or the old stretch state, which does not move
-            # this window) is bounded below by ``second_min``.  Success
-            # hands the stretch off to c' without leaving the fast loop.
-            new_sid, target = ctx.others[min_idx]
-            new_c2 = list(target)
-            moved2_sq = 0.0
-            for t in range(dims):
-                c_t = target[t]
-                value = keep * c_t + alpha * goal[t]
-                new_c2[t] = value
-                step = value - c_t
-                moved2_sq += step * step
-            delta2 = math.sqrt(moved2_sq)
-            reach2 = min_other + spread + delta2
-            second_min = min(math.sqrt(gc_sq), math.sqrt(second_sq))
-            pad2 = 1e-9 + 1e-12 * (reach2 + spread)
-            if not (
-                reach2 + pad2 <= clusterer.spawn_threshold
-                and reach2 + spread + pad2
-                < second_min * (1.0 - 1e-12) - 1e-9
+        spawn = clusterer.spawn_threshold
+        dist = math.dist
+        rows = ctx.rows
+        points: "Optional[List[List[float]]]" = None
+        if rows is None:
+            goals = [full_mean.tolist()]
+            spreads = [spread]
+        else:
+            points = stat[2].tolist()
+            goals = grouped_means(points, rows)
+            spreads = [
+                max([dist(points[p], goal) for p in members])
+                for goal, members in zip(goals, rows)
+            ]
+
+        # Distances (any accurate evaluation will do: the slack below
+        # absorbs rounding) from each group centroid to every pre-move
+        # state, the nearest state, and the Eq. 6 step it takes (exact).
+        current = ctx.current
+        table: List[List[float]] = []
+        positions: List[int] = []
+        news: List[List[float]] = []
+        deltas: List[float] = []
+        for goal in goals:
+            row = [dist(goal, vector) for vector in current]
+            position = row.index(min(row))
+            vector = current[position]
+            new = [keep * v_t + alpha * g_t for v_t, g_t in zip(vector, goal)]
+            table.append(row)
+            positions.append(position)
+            news.append(new)
+            deltas.append(dist(new, vector))
+        k = len(positions)
+        if k > 1 and len(set(positions)) < k:
+            # Two groups met in one state (say, a minority rejoined the
+            # majority): the partition itself changed.
+            assert ctx.assign is not None
+            moved_to = dict(zip(ctx.sids, [ctx.ids[p] for p in positions]))
+            ctx.regroup = [moved_to[sid] for sid in ctx.assign]
+            return False
+        post = list(current)  # the post-move state set
+        for position, new in zip(positions, news):
+            post[position] = new
+        check_mean = rows is not None
+        for j in range(k):
+            row = table[j]
+            position = positions[j]
+            s_j = spreads[j]
+            reach = row[position] + s_j + deltas[j]
+            ranked = sorted(row)
+            runner_up = ranked[1] if len(ranked) > 1 else math.inf
+            margin = runner_up * (1.0 - 1e-12) - 1e-9
+            for other in range(k):
+                if other != j:
+                    # Group ``other``'s state moves too: its distance to
+                    # g_j may shrink by up to its own step.  (``not >=``
+                    # lets a NaN through, failing the certificate.)
+                    d_x = row[positions[other]]
+                    d_o = deltas[other]
+                    shrunk = (d_x - d_o) - (d_x + d_o) * 1e-12 - 1e-9
+                    if not shrunk >= margin:
+                        margin = shrunk
+            pad = 1e-9 + 1e-12 * (reach + s_j)
+            if reach + pad <= spawn and reach + s_j + pad < margin:
+                continue
+            # The triangle bounds are too loose for this group (a wide
+            # spread, or a centroid between two states): check its
+            # members one by one instead.  Their distances no longer
+            # bound the overall mean's, so certify that separately.
+            if points is None:
+                points = stat[2].tolist()
+            members = rows[j] if rows is not None else range(len(points))
+            if not _members_hold(
+                points, members, current, post, position, spawn
             ):
                 return False
-            bound = clusterer.states.peek_decayed_pair_bound(delta2)
-            if bound is None or not bound >= clusterer.merge_threshold:
+            check_mean = True
+        sids = [ctx.ids[position] for position in positions]
+        observable = sids[0]
+        if check_mean:
+            mean = stat[4].tolist()
+            row = [dist(mean, vector) for vector in post]
+            ranked = sorted(row)
+            gap = ranked[0]
+            pad = 1e-9 + 1e-12 * gap
+            observable = ctx.ids[row.index(gap)]
+            runner_up = ranked[1] if len(ranked) > 1 else math.inf
+            if not (
+                gap + pad <= spawn
+                and gap + pad < runner_up * (1.0 - 1e-12) - 1e-9
+                # a unanimous stretch records o_i == c_i
+                and (rows is not None or observable == sids[0])
+            ):
                 return False
-            clusterer.states.commit_pair_bound(bound)
-            if ctx.visits:
-                clusterer.states.apply_steady_motion(
-                    ctx.sid, ctx.c, ctx.visits
+        merge = clusterer.merge_threshold
+        bound = clusterer.states.peek_decayed_pair_bound(*deltas)
+        if bound is None or not bound >= merge:
+            # The decayed bound no longer rules out a merge: measure every
+            # pair of post-move states instead, with the same kind of
+            # slack, and certify on the measured minimum.
+            m = len(post)
+            bound = (
+                min(
+                    [
+                        dist(post[a], post[b])
+                        for a in range(m - 1)
+                        for b in range(a + 1, m)
+                    ]
                 )
-            ctx.others[min_idx] = (ctx.sid, ctx.c)
-            ctx.sid = new_sid
-            ctx.c = new_c2
-            ctx.visits = 1
-        else:
-            return False
+                * (1.0 - 1e-12)
+                - 1e-9
+                if m > 1
+                else math.inf
+            )
+            if not bound >= merge:
+                return False
+        clusterer.states.commit_pair_bound(bound)
 
         # -- certified: commit the window ------------------------------
+        ctx.current = post
+        visits = ctx.visits
+        for sid in sids:
+            visits[sid] = visits.get(sid, 0) + 1
+        if sids != ctx.sids:
+            # A group handed off to another state.
+            if ctx.assign is not None:
+                remap = dict(zip(ctx.sids, sids))
+                ctx.assign = [remap[sid] for sid in ctx.assign]
+            ctx.sids = sids
         ctx.alarm_count += 1
         self._n_windows += 1
-        c_id = ctx.sid
-        n = len(ids_sorted)
-        if ctx.filter_defer:
+        correct = sids[ctx.majority]
+        if ctx.filter_ids is None and ctx.alarm_count >= ctx.filter_check:
+            bank = self.filter_bank
+            if bank.quiescent(stat[1], ctx.raws):
+                # The stretch's constant raw alarms no longer change any
+                # filter: defer the positional advances to the exit.
+                ctx.filter_ids = stat[1]
+            else:
+                settle = bank.settle_windows
+                ctx.filter_check = (
+                    math.inf if settle is None else ctx.alarm_count + settle
+                )
+        if ctx.filter_ids is not None:
             ctx.filter_count += 1
             transitions: "tuple" = ()
         else:
-            raws = ctx.zeros.get(n)
-            if raws is None:
-                raws = ctx.zeros[n] = np.zeros(n, dtype=bool)
             transitions = tuple(
                 self.filter_bank.update_batch(
-                    window.index, stat[1], raws, assume_sorted=True
+                    window.index, stat[1], ctx.raws, assume_sorted=True
                 )
             )
             for transition in transitions:
-                if transition.raised:  # pragma: no cover - all-False input
+                if transition.raised:
                     self.tracks.open_track(transition.sensor_id, window.index)
                 else:
                     self.tracks.close_track(transition.sensor_id, window.index)
-        self.tracks.record_window_batch(c_id, ids_sorted, [c_id] * n)
-        self.m_co.observe(c_id, c_id)
-        self.correct_sequence.append(c_id)
-        self.observable_sequence.append(c_id)
+        assign = ctx.assign
+        if assign is None:
+            extra = None
+        else:
+            alarming = ctx.alarming
+            assert alarming is not None
+            index = window.index
+            # Raw alarms in the window's first-occurrence order, like
+            # ``AlarmGenerator.process`` over the identification dict;
+            # the per-sensor history is appended at stretch exit.
+            raw_alarms = tuple(
+                RawAlarm(index, ids_sorted[p], assign[p], correct)
+                for p in stat[3]
+                if alarming[p]
+            )
+            self.alarm_generator.alarms.extend(raw_alarms)
+            extra = (assign, observable, raw_alarms, ctx.majority_size)
+        # M_CO and every open track see the same pair window after
+        # window: record each run of equal pairs in one call when it ends
+        # or the stretch exits (``OnlineHMM.observe_run``).
+        runs = ctx.runs
+        _count_run(runs, self.m_co.observe_run, correct, observable)
+        for track, symbol in self.tracks.window_symbols(
+            correct,
+            ids_sorted,
+            [correct] * len(ids_sorted) if assign is None else assign,
+        ):
+            _count_run(runs, track.record_run, correct, symbol)
+        self.correct_sequence.append(correct)
+        self.observable_sequence.append(observable)
         self._pending_results.append(
             (
                 window.index,
                 "steady",
-                c_id,
+                correct,
                 ids_sorted,
                 stat[3],
                 transitions,
                 clusterer.n_states,
-                None,
+                extra,
             )
         )
         return True
 
     def _steady_exit(self, ctx: "_SteadyStretch") -> None:
         """Fold the deferred stretch state back into the live modules:
-        the Python-evolved centroid, the all-False alarm history runs,
-        and the quiescent filter-bank position advances."""
+        the Python-evolved centroids, the alarm-history runs, and the
+        quiescent filter-bank position advances."""
+        for record, first, second, count in ctx.runs.values():
+            record(first, second, count)
         if ctx.visits:
             assert self.clusterer is not None
-            self.clusterer.states.apply_steady_motion(
-                ctx.sid, ctx.c, ctx.visits
-            )
+            states = self.clusterer.states
+            for sid, count in ctx.visits.items():
+                states.apply_steady_motion(
+                    sid, ctx.current[ctx.ids.index(sid)], count
+                )
         if ctx.alarm_count and ctx.steady_ids is not None:
             history = self.alarm_generator.history
-            tail = [False] * ctx.alarm_count
-            for sensor_id in ctx.steady_ids:
+            alarming = ctx.alarming
+            quiet = [False] * ctx.alarm_count
+            loud = [True] * ctx.alarm_count if alarming is not None else quiet
+            for position, sensor_id in enumerate(ctx.steady_ids):
+                alarms = alarming is not None and alarming[position]
+                tail = loud if alarms else quiet
                 series = history.get(sensor_id)
                 if series is None:
                     history[sensor_id] = list(tail)
                 else:
                     series.extend(tail)
         if ctx.filter_count:
-            self.filter_bank.advance_quiescent(ctx.filter_count)
+            self.filter_bank.advance_quiescent(
+                ctx.filter_count, ctx.filter_ids
+            )
 
     def digest(self) -> str:
         """Content hash of everything the evaluation reads off a run.
@@ -1048,33 +1250,93 @@ class DetectionPipeline:
         return model
 
 
+def _count_run(runs: Dict[int, list], record, first: int, second: int) -> None:
+    """Count one more ``(first, second)`` pair for ``record``'s owner.
+
+    ``record`` is a bound ``observe_run``/``record_run``; a pending run of
+    a different pair for the same owner is recorded first, so every
+    owner still sees its pairs in window order.
+    """
+    key = id(record.__self__)
+    run = runs.get(key)
+    if run is not None:
+        if run[1] == first and run[2] == second:
+            run[3] += 1
+            return
+        run[0](run[1], run[2], run[3])
+    runs[key] = [record, first, second, 1]
+
+
+def _members_hold(
+    points: List[List[float]],
+    members: Sequence[int],
+    pre: List[List[float]],
+    post: List[List[float]],
+    position: int,
+    spawn: float,
+) -> bool:
+    """Member-by-member form of a group's steady certificate.
+
+    True when every member point is within ``spawn`` of state
+    ``position`` before the Eq. 6 moves (no spawn check fires) and
+    strictly nearer to it than to any other state both before and after
+    the moves (its Eq. 3 assignment and its final assignment), each
+    comparison padded like the group certificate.
+    """
+    dist = math.dist
+    for p in members:
+        point = points[p]
+        for vectors, limit in ((pre, spawn), (post, math.inf)):
+            row = [dist(point, vector) for vector in vectors]
+            gap = row[position]
+            row[position] = math.inf
+            pad = 1e-9 + 1e-12 * gap
+            if not (
+                gap + pad <= limit
+                and gap + pad < min(row) * (1.0 - 1e-12) - 1e-9
+            ):
+                return False
+    return True
+
+
 def _materialize_result(entry: tuple) -> WindowResult:
     """Build one :class:`WindowResult` from a deferred pending entry.
 
     Two entry shapes exist: the general fused-path tuple mirroring the
     ``WindowResult`` fields, and the compact steady-stretch marker
-    (``entry[1] == "steady"``) holding just the unanimous state id and
-    sensor ordering — the identification and cluster-update objects a
-    unanimous window implies are reconstructed here, off the hot loop.
+    (``entry[1] == "steady"``) holding the correct state id, the sensor
+    ordering, and — unless the window was unanimous (``None``) — the
+    per-sensor assignments, the observable state, the raw alarms and the
+    majority size.  The identification and cluster-update objects such
+    a window implies are reconstructed here, off the hot loop.
     """
     if entry[1] == "steady":
         (
             window_index,
             _,
-            state_id,
+            correct,
             ids_sorted,
             order_first,
             transitions,
             n_model_states,
-            _,
+            extra,
         ) = entry
         n = len(ids_sorted)
-        assignments = [state_id] * n
+        if extra is None:
+            assignments = [correct] * n
+            observable = correct
+            raw_alarms: "tuple" = ()
+            majority_size = n
+        else:
+            shared, observable, raw_alarms, majority_size = extra
+            # One assignment list serves every window of a stretch; give
+            # each result its own.
+            assignments = list(shared)
         identification = WindowIdentification(
-            observable_state=state_id,
-            correct_state=state_id,
-            sensor_states={ids_sorted[p]: state_id for p in order_first},
-            majority_size=n,
+            observable_state=observable,
+            correct_state=correct,
+            sensor_states={ids_sorted[p]: assignments[p] for p in order_first},
+            majority_size=majority_size,
             n_sensors=n,
         )
         cluster_update = ClusterUpdate(
@@ -1082,7 +1344,7 @@ def _materialize_result(entry: tuple) -> WindowResult:
             spawned=[],
             merged=[],
             sensor_assignments=assignments,
-            observable_state=state_id,
+            observable_state=observable,
             mean_spawned=None,
         )
         return WindowResult(
@@ -1090,7 +1352,7 @@ def _materialize_result(entry: tuple) -> WindowResult:
             skipped=False,
             identification=identification,
             cluster_update=cluster_update,
-            raw_alarms=(),
+            raw_alarms=raw_alarms,
             filter_transitions=transitions,
             n_model_states=n_model_states,
             learning_frozen=False,

@@ -46,6 +46,23 @@ def _tril_indices(n: int) -> "tuple[np.ndarray, np.ndarray]":
     return indices
 
 
+def _decayed_bound(bound: float, delta: float) -> float:
+    """The pair-distance lower bound after one centroid move of ``delta``.
+
+    A move of magnitude δ shrinks any pairwise distance by at most δ.
+    The decay over-subtracts a relative slack so rounding in the decay
+    (or in the distances themselves) can never leave the bound above
+    what the next scan would measure.  A NaN move poisons the bound,
+    forcing a scan — the conservative side.  An ``inf`` bound (under two
+    live states at the last scan — no pair exists to shrink) survives
+    any move untouched; running it through the decay would compute
+    inf - inf = NaN and force a pointless rescan every window.
+    """
+    if math.isinf(bound):
+        return bound
+    return (bound - delta) - (abs(bound) + delta) * 1e-12
+
+
 @dataclass
 class ModelState:
     """One model state: a stable id plus a drifting attribute vector.
@@ -256,37 +273,38 @@ class StateSet:
         through here); writing ``state.vector`` directly would leave the
         cached matrix stale.
         """
-        state = self.get(state_id)
-        old = state.vector
-        state.vector = np.asarray(vector, dtype=float)
+        self.update_vectors(
+            [state_id], [np.asarray(vector, dtype=float).tolist()]
+        )
+
+    def update_vectors(
+        self, state_ids: Sequence[int], vectors: List[List[float]]
+    ) -> None:
+        """:meth:`update_vector` for several states in one pass.
+
+        ``vectors[r]`` becomes the vector of ``state_ids[r]``.  The
+        cached matrix takes all rows in one fancy assignment; the pair
+        bound decays once per moved state in the given order, exactly as
+        successive :meth:`update_vector` calls would.
+        """
+        states = [self.get(state_id) for state_id in state_ids]
+        bound = self._pair_min_bound
+        for state, new in zip(states, vectors):
+            if bound is not None:
+                # Python floats: the vectors are tiny (d = 2 for the
+                # paper's deployments), so small-array NumPy overhead
+                # would dominate.
+                bound = _decayed_bound(
+                    bound, math.dist(new, state.vector.tolist())
+                )
+            state.vector = np.array(new)
+        self._pair_min_bound = bound
         if self._matrix is not None:
             assert self._matrix_ids is not None
-            row = self._matrix_ids.index(state.state_id)
-            self._matrix[row] = state.vector
+            index = self._matrix_ids.index
+            self._matrix[[index(state.state_id) for state in states]] = vectors
         if self._pair_matrix is not None:
-            self._pair_dirty.add(state.state_id)
-        bound = self._pair_min_bound
-        if bound is not None and not math.isinf(bound):
-            # A move of magnitude δ shrinks any pairwise distance by at
-            # most δ.  Over-subtract a relative slack so rounding in the
-            # decay (or in the distances themselves) can never leave the
-            # bound above what the next scan would measure.  A NaN move
-            # poisons the bound, forcing a scan — the conservative side.
-            # An ``inf`` bound (under two live states at the last scan —
-            # no pair exists to shrink) survives any move untouched;
-            # running it through the decay would compute inf - inf = NaN
-            # and force a pointless rescan every window.
-            # Python-float accumulation: the vectors are tiny (d = 2 for
-            # the paper's deployments) and this runs once per Eq. 6
-            # update, so small-array NumPy overhead would dominate.
-            moved_sq = 0.0
-            for a, b in zip(state.vector.tolist(), old.tolist()):
-                step = a - b
-                moved_sq += step * step
-            delta = math.sqrt(moved_sq)
-            self._pair_min_bound = (
-                (bound - delta) - (abs(bound) + delta) * 1e-12
-            )
+            self._pair_dirty.update(state.state_id for state in states)
 
     # -- structural operations ------------------------------------------
 
@@ -569,18 +587,16 @@ class StateSet:
         self._pair_min_bound = best - abs(best) * 1e-12
         return ids[i], ids[j], best
 
-    def peek_decayed_pair_bound(self, delta: float) -> Optional[float]:
-        """The pair bound as it would stand after a move of ``delta``,
-        without committing it (same slack as :meth:`update_vector`)."""
+    def peek_decayed_pair_bound(self, *deltas: float) -> Optional[float]:
+        """The pair bound as it would stand after moves of ``deltas``,
+        applied in order, without committing it (same slack as
+        :meth:`update_vector`)."""
         bound = self._pair_min_bound
         if bound is None:
             return None
-        if math.isinf(bound):
-            # No pair existed at the last scan; a centroid move cannot
-            # create one, so the bound stays infinite (the IEEE decay
-            # would produce inf - inf = NaN and fail certification).
-            return bound
-        return (bound - delta) - (abs(bound) + delta) * 1e-12
+        for delta in deltas:
+            bound = _decayed_bound(bound, delta)
+        return bound
 
     def commit_pair_bound(self, bound: Optional[float]) -> None:
         """Store a bound previously obtained from

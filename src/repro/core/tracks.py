@@ -64,6 +64,14 @@ class ErrorAttackTrack:
         self.symbols.append((correct_state, error_symbol))
         self.model.observe(correct_state, error_symbol)
 
+    def record_run(
+        self, correct_state: int, error_symbol: int, count: int
+    ) -> None:
+        """:meth:`record` ``count`` times with one pair, bit-identically
+        (see :meth:`OnlineHMM.observe_run`)."""
+        self.symbols.extend([(correct_state, error_symbol)] * count)
+        self.model.observe_run(correct_state, error_symbol, count)
+
     def truncate(self, max_length: int) -> int:
         """Bounded repair: keep only the most recent ``max_length`` pairs.
 
@@ -202,16 +210,32 @@ class TrackManager:
         the equivalent ``sensor_states`` dict, but tracked sensors are
         located by bisection instead of building the dict.
         """
+        for track, symbol in self.window_symbols(
+            correct_state, sensor_ids, assigned_states
+        ):
+            track.record(correct_state, symbol)
+
+    def window_symbols(
+        self,
+        correct_state: int,
+        sensor_ids: Sequence[int],
+        assigned_states: Sequence[int],
+    ) -> List[Tuple[ErrorAttackTrack, int]]:
+        """The ``(track, symbol)`` pairs :meth:`record_window_batch`
+        records for one window, in the same order, without recording
+        them (same argument contract)."""
         if not self._open_by_sensor:
-            return
+            return []
         n = len(sensor_ids)
+        pairs: List[Tuple[ErrorAttackTrack, int]] = []
         for sensor_id, track in self._open_by_sensor.items():
             idx = bisect_left(sensor_ids, sensor_id)
             if idx >= n or sensor_ids[idx] != sensor_id:
                 continue
             mapped = int(assigned_states[idx])
             symbol = mapped if mapped != correct_state else BOTTOM_STATE_ID
-            track.record(correct_state, symbol)
+            pairs.append((track, symbol))
+        return pairs
 
     def tracks_for_sensor(self, sensor_id: int) -> List[ErrorAttackTrack]:
         """All (open and closed) tracks of one sensor, oldest first."""

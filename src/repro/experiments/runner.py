@@ -390,7 +390,7 @@ def _summarize_pipeline(
         system_diagnosis=pipeline.system_diagnosis().anomaly_type.value,
         sensor_diagnoses=diagnoses,
         ground_truth=dict(ground_truth),
-        n_raw_alarms=sum(len(r.raw_alarms) for r in pipeline.results),
+        n_raw_alarms=pipeline.n_raw_alarms,
         n_tracks=len(pipeline.tracks.tracks),
         correct_model_labels=tuple(model.label(s) for s in model.state_ids),
         digest=pipeline.digest(),

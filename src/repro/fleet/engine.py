@@ -97,7 +97,7 @@ class _Tenant:
         self.scalar_bank = None
         self.group: "Optional[_FilterGroup]" = None
         #: The live steady-stretch context (pipeline ``_SteadyStretch``)
-        #: while certified; its ``c`` is authoritative in the cohort's
+        #: while certified; its centroid is authoritative in the cohort's
         #: centroid block and synced back lazily at exit/handoff.
         self.steady: Optional[_SteadyStretch] = None
         self.cohort: "Optional[_SteadyCohort]" = None
@@ -739,7 +739,7 @@ class FleetEngine:
                 if run is None:
                     ctx = tenant.steady
                     run = tenant.defer = [
-                        ctx.sid,
+                        ctx.sids[0],
                         ctx.steady_ids,
                         tenant.pipeline.clusterer.n_states,
                         [],
@@ -771,9 +771,12 @@ class FleetEngine:
             other_rows = np.delete(matrix, idx, axis=0)
             other_sids = ids[:idx] + ids[idx + 1 :]
         cohort.add(tenant, matrix[idx], other_rows, list(other_sids))
-        # ctx.c stays authoritative in the cohort block; the list here
-        # is synced back (tolist of the same floats) at exit/handoff.
-        tenant.steady = _SteadyStretch(state_id, matrix[idx].tolist(), [])
+        # The centroid stays authoritative in the cohort block; the
+        # context's vector is synced back (tolist of the same floats) at
+        # exit/handoff.
+        tenant.steady = _SteadyStretch(
+            [state_id], [state_id], [matrix[idx].tolist()]
+        )
 
     def _exit_steady(self, tenant: _Tenant) -> None:
         """Flush deferred commits, sync the context, and fold the
@@ -781,7 +784,7 @@ class FleetEngine:
         ctx = tenant.steady
         cohort = tenant.cohort
         slot = tenant.slot
-        ctx.c = cohort.c[slot].tolist()
+        ctx.current[0] = cohort.c[slot].tolist()
         if tenant.defer is not None:
             self._flush(tenant)
         # The stretch's committed pair bound lived in the cohort block;
@@ -1026,36 +1029,36 @@ class FleetEngine:
         ctx = tenant.steady
         cohort = tenant.cohort
         slot = tenant.slot
+        sid = ctx.sids[0]
         # The stretch hands off: flush the deferred quiet run first so
         # everything below lands after those windows' bookkeeping.
-        c = cohort.c[slot].tolist()
-        ctx.c = c
         if tenant.defer is not None:
             self._flush(tenant)
+        c = cohort.c[slot].tolist()
         cohort.bound[slot] = new_bound
-        if ctx.visits:
+        visits = ctx.visits.get(sid, 0)
+        if visits:
             tenant.pipeline.clusterer.states.apply_steady_motion(
-                ctx.sid, c, ctx.visits
+                sid, c, visits
             )
         other_sids = cohort.other_sids[slot]
         new_sid = other_sids[min_idx]
         cohort.others[slot, min_idx] = c
-        other_sids[min_idx] = ctx.sid
-        ctx.sid = new_sid
+        other_sids[min_idx] = sid
         cohort.c[slot] = new_c2
-        ctx.c = new_c2.tolist()
-        ctx.visits = 1
+        ctx.sids = [new_sid]
+        ctx.ids = [new_sid]
+        ctx.current = [new_c2.tolist()]
+        ctx.visits = {new_sid: 1}
 
     def _flush(self, tenant: _Tenant) -> None:
         """Replay a deferred quiet-window run in one cache-hot burst.
 
         Every deferred window was certified with no filter transitions
         and no open tracks, so its commit reduces to: the repeated
-        ``m_co.observe(c, c)`` forgetting update (the transition row is
-        untouched since the state never changes; the emission row gets
-        the same two in-place roundings per window), the integer visit
-        counters (plain additions — folding k of them is exact), the
-        sequence appends, and the pending result tuples.
+        ``m_co.observe(c, c)`` update (``OnlineHMM.observe_run``), the
+        integer visit counters (plain additions — folding k of them is
+        exact), the sequence appends, and the pending result tuples.
         """
         run = tenant.defer
         if run is None:
@@ -1066,26 +1069,9 @@ class FleetEngine:
         pipeline = tenant.pipeline
         ctx = tenant.steady
         ctx.alarm_count += k
-        ctx.visits += k
+        ctx.visits[c_id] = ctx.visits.get(c_id, 0) + k
         pipeline._n_windows += k
-        model = pipeline.m_co
-        row = model._emission[model._state_index[c_id]]
-        column = model._symbol_index[c_id]
-        rate = model.emission_innovation
-        keep = 1.0 - rate
-        # Python floats and NumPy float64 scalars round identically, so
-        # replaying the per-window recurrence on a list costs k small
-        # loop bodies instead of 2k tiny array kernels.
-        values = row.tolist()
-        for _ in range(k):
-            values = [value * keep for value in values]
-            values[column] += rate
-        row[:] = values
-        model._state_visits[c_id] += k
-        model._symbol_visits[c_id] += k
-        pair = (c_id, c_id)
-        model._pair_counts[pair] = model._pair_counts.get(pair, 0) + k
-        model._n_updates += k
+        pipeline.m_co.observe_run(c_id, c_id, k)
         run_states = [c_id] * k
         pipeline.correct_sequence.extend(run_states)
         pipeline.observable_sequence.extend(run_states)
@@ -1112,10 +1098,10 @@ class FleetEngine:
         ctx = tenant.steady
         window = tenant.windows[step]
         ctx.alarm_count += 1
+        c_id = ctx.sids[0]
         if kind == "primary":
-            ctx.visits += 1
+            ctx.visits[c_id] = ctx.visits.get(c_id, 0) + 1
         pipeline._n_windows += 1
-        c_id = ctx.sid
         ids_sorted = ctx.steady_ids
         transitions = tuple(transitions)
         for transition in transitions:

@@ -1134,53 +1134,78 @@ def parity_command(
 ) -> "tuple[str, int]":
     """The ``repro parity`` implementation: (report text, exit code).
 
-    Runs one GDI trace through the per-window oracle
-    (``process_trace``) and the fused fast path
-    (``process_trace_fast``) for every alarm-filter kind crossed with
-    every supervisor mode, and demands exact equality of the campaign
-    digest, the JSON snapshot, and each per-window result.  Any
-    mismatch is a correctness bug in the fused engine, so the exit
-    code is non-zero and CI blocks on it.  ``backend`` selects the
+    Runs three GDI traces — the clean one, the §4.1 faulty-sensors
+    campaign and the §4.2 dynamic-deletion campaign, so that multi-group
+    steady stretches (a faulty or compromised minority in its own
+    state) are exercised too — through the per-window oracle
+    (``process_trace``) and the fused fast path (``process_trace_fast``)
+    for every alarm-filter kind crossed with every supervisor mode, and
+    demands exact equality of the campaign digest, the JSON snapshot,
+    and each per-window result.  Any mismatch is a correctness bug in
+    the fused engine, so the exit code is non-zero and CI blocks on it.
+    Each line also counts the fused run's windows certified inside a
+    stretch of two or more sensor groups.  ``backend`` selects the
     kernel backend for *both* sides, so ``--backend compiled`` pins
     every compiled kernel against the oracle bit-for-bit.
     """
     from . import DetectionPipeline, PipelineConfig
+    from .experiments.scenarios import (
+        deletion_scenario,
+        faulty_sensors_scenario,
+    )
     from .traces import GDITraceConfig, generate_gdi_trace_columnar
 
-    trace = generate_gdi_trace_columnar(
-        GDITraceConfig(n_days=n_days, seed=seed)
-    )
+    traces = [
+        (
+            "clean",
+            generate_gdi_trace_columnar(
+                GDITraceConfig(n_days=n_days, seed=seed)
+            ),
+        ),
+        ("faulty", faulty_sensors_scenario(n_days=n_days, seed=seed).columnar),
+        ("deletion", deletion_scenario(n_days=n_days, seed=seed).columnar),
+    ]
     lines = [
         f"fused-vs-oracle parity: {n_days} days, seed {seed}, "
         f"backend {backend}"
     ]
     ok = True
-    for kind in ("k_of_n", "sprt", "cusum"):
-        for mode in ("off", "warn", "repair"):
-            config = PipelineConfig(
-                filter_kind=kind, supervisor_mode=mode, backend=backend
-            )
-            oracle = DetectionPipeline(config)
-            fused = DetectionPipeline(config)
-            oracle_results = oracle.process_trace(trace)
-            fused.process_trace_fast(trace)
-            fused_results = fused.results
-            digest_ok = oracle.digest() == fused.digest()
-            snapshot_ok = json.dumps(
-                oracle.snapshot(), sort_keys=True, default=str
-            ) == json.dumps(fused.snapshot(), sort_keys=True, default=str)
-            results_ok = len(oracle_results) == len(fused_results) and all(
-                a == b for a, b in zip(oracle_results, fused_results)
-            )
-            ok = ok and digest_ok and snapshot_ok and results_ok
+    for label, trace in traces:
+        for kind in ("k_of_n", "sprt", "cusum"):
+            for mode in ("off", "warn", "repair"):
+                config = PipelineConfig(
+                    filter_kind=kind, supervisor_mode=mode, backend=backend
+                )
+                oracle = DetectionPipeline(config)
+                fused = DetectionPipeline(config)
+                oracle_results = oracle.process_trace(trace)
+                fused.process_trace_fast(trace)
+                # Counted before ``results`` materializes the entries.
+                k_group = sum(
+                    1
+                    for entry in fused._pending_results
+                    if entry[1] == "steady" and entry[7] is not None
+                )
+                fused_results = fused.results
+                digest_ok = oracle.digest() == fused.digest()
+                snapshot_ok = json.dumps(
+                    oracle.snapshot(), sort_keys=True, default=str
+                ) == json.dumps(fused.snapshot(), sort_keys=True, default=str)
+                results_ok = len(oracle_results) == len(fused_results) and all(
+                    a == b for a, b in zip(oracle_results, fused_results)
+                )
+                ok = ok and digest_ok and snapshot_ok and results_ok
 
-            def _tag(flag: bool) -> str:
-                return "OK" if flag else "FAIL"
+                def _tag(flag: bool) -> str:
+                    return "OK" if flag else "FAIL"
 
-            lines.append(
-                f"  {kind:<7} {mode:<7} digest={_tag(digest_ok)} "
-                f"snapshot={_tag(snapshot_ok)} results={_tag(results_ok)}"
-            )
+                lines.append(
+                    f"  {label:<8} {kind:<7} {mode:<7} "
+                    f"digest={_tag(digest_ok)} "
+                    f"snapshot={_tag(snapshot_ok)} "
+                    f"results={_tag(results_ok)} "
+                    f"k-group windows={k_group}"
+                )
     lines.append("parity PASS" if ok else "parity FAIL")
     return "\n".join(lines), 0 if ok else 1
 

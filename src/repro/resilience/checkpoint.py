@@ -145,6 +145,7 @@ def restore(
     pipeline.alarm_generator = AlarmGenerator.from_state_dict(
         payload["alarm_generator"]
     )
+    pipeline._restored_raw_alarms = len(pipeline.alarm_generator.alarms)
     pipeline.filter_bank.load_state_dict(payload["filter_bank"])
     pipeline.tracks = TrackManager.from_state_dict(payload["tracks"])
     pipeline.m_co = OnlineHMM.from_state_dict(payload["m_co"])

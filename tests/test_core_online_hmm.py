@@ -173,6 +173,30 @@ class TestGrowth:
         assert restored.state_dict() == hmm.state_dict()
 
 
+class TestObserveRun:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_runs_bit_equal_to_repeated_observe(self, seed):
+        # Runs of 1..40 equal pairs over a growing alphabet: the run
+        # form must leave A, B and every counter bit-identical.
+        import json
+
+        rng = np.random.default_rng(seed)
+        hmm, reference = OnlineHMM(), OnlineHMM()
+        for state, symbol in random_stream(seed, length=60):
+            count = int(rng.integers(1, 41))
+            hmm.observe_run(state, symbol, count)
+            for _ in range(count):
+                reference.observe(state, symbol)
+        assert json.dumps(hmm.state_dict()) == json.dumps(
+            reference.state_dict()
+        )
+
+    def test_empty_run_is_a_no_op(self):
+        hmm = OnlineHMM()
+        hmm.observe_run(3, 3, 0)
+        assert hmm.n_updates == 0 and hmm.state_ids == []
+
+
 class TestSnapshots:
     def test_min_visits_filters_states(self):
         hmm = OnlineHMM()

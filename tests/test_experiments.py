@@ -54,6 +54,51 @@ class TestRunner:
         assert len(stuck_run.windows()) > 0
 
 
+class TestRawAlarmCount:
+    """``DetectionPipeline.n_raw_alarms`` replaces summing the results."""
+
+    @staticmethod
+    def _result_sum(pipeline) -> int:
+        return sum(len(result.raw_alarms) for result in pipeline.results)
+
+    def test_fresh_pipeline_matches_result_sum(self):
+        from repro import DetectionPipeline
+        from repro.experiments.runner import summarize_run
+        from repro.experiments.scenarios import faulty_sensors_scenario
+
+        run = faulty_sensors_scenario(n_days=4, seed=7)
+        windows = run.windows()
+        oracle = DetectionPipeline(run.config)
+        oracle.process_windows(windows)
+        fused = DetectionPipeline(run.config)
+        fused.process_windows_fast(windows)
+        for pipeline in (oracle, fused, run.pipeline):
+            assert pipeline.n_raw_alarms == self._result_sum(pipeline) > 0
+        summary = summarize_run(run)
+        assert summary.n_raw_alarms == self._result_sum(run.pipeline)
+
+    def test_restored_pipeline_counts_only_its_own_alarms(self):
+        from repro import DetectionPipeline
+        from repro.experiments.scenarios import faulty_sensors_scenario
+
+        run = faulty_sensors_scenario(n_days=4, seed=7)
+        windows = run.windows()
+        half = len(windows) * 3 // 4
+        first = DetectionPipeline(run.config)
+        first.process_windows_fast(windows[:half])
+        assert first.n_raw_alarms > 0
+        restored = DetectionPipeline.restore(
+            first.snapshot(), config=run.config
+        )
+        assert restored.n_raw_alarms == 0
+        restored.process_windows_fast(windows[half:])
+        assert restored.n_raw_alarms == self._result_sum(restored) > 0
+        # The restored alarm log still carries the prefix's alarms.
+        assert len(restored.alarm_generator.alarms) == (
+            first.n_raw_alarms + restored.n_raw_alarms
+        )
+
+
 class TestTable1:
     def test_values_match_paper(self):
         result = table1()

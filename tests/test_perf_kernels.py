@@ -10,6 +10,7 @@ tolerance.
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -195,6 +196,80 @@ def test_300_windows_vectorized_matches_scalar_reference():
     assert b_vec.state_ids == b_ref.state_ids
     assert b_vec.symbol_ids == b_ref.symbol_ids
     assert np.array_equal(b_vec.matrix, b_ref.matrix)
+
+
+def _multi_group_windows(rng, dims, n_windows=200, n_sensors=12):
+    """Windows whose rows split over at least three far-apart centers,
+    with varying group sizes, row orders and center drift."""
+    centers = rng.uniform(-40.0, 40.0, size=(5, dims))
+    centers[:, 0] += 30.0 * np.arange(5)  # keep the centers apart
+    windows = []
+    for index in range(n_windows):
+        n_groups = 3 + index % 3
+        labels = np.arange(n_sensors) % n_groups
+        rng.shuffle(labels)
+        drift = 0.05 * index
+        rows = (
+            centers[labels]
+            + drift
+            + rng.normal(0.0, 1.5, size=(n_sensors, dims))
+        )
+        windows.append(rows)
+    return windows
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_multi_group_update_matches_scalar_reference(dims):
+    # The grouped Eq. 6 pass (one Python-float grouped sum, one write of
+    # the state rows) must leave every state exactly where the per-group
+    # np.mean + update_vector reference puts it, visits included.
+    rng = np.random.default_rng(1000 + dims)
+    windows = _multi_group_windows(rng, dims)
+    initial = [windows[0][0], windows[0][1] + 50.0]
+    kwargs = dict(alpha=0.1, spawn_threshold=12.0, merge_threshold=5.0)
+    vectorized = OnlineStateClusterer(initial_vectors=initial, **kwargs)
+    scalar = ScalarReferenceClusterer(initial_vectors=initial, **kwargs)
+    multi = 0
+    for window_index, observations in enumerate(windows):
+        overall_mean = observations.mean(axis=0)
+        got = vectorized.update(observations, overall_mean=overall_mean)
+        want = scalar.update(observations, overall_mean)
+        assert got.assignments == want["assignments"], window_index
+        assert got.merged == want["merged"], window_index
+        multi += len(set(got.assignments)) >= 3
+        # json renders floats by repr: bit-equal, -0.0 included.
+        assert json.dumps(vectorized.states.state_dict()) == json.dumps(
+            scalar.states.state_dict()
+        ), window_index
+    assert multi > 150
+
+
+def test_multi_group_update_matches_numpy_signed_zero():
+    # A column of exact -0.0 readings: the grouped sum must land on the
+    # same signed zero as np.mean (whose add reduction starts from the
+    # +0.0 identity), or the next Eq. 6 step off a -0.0 centroid flips
+    # its sign bit.
+    initial = [
+        np.array([-0.0, 0.0]),
+        np.array([50.0, 50.0]),
+        np.array([0.0, 90.0]),
+    ]
+    kwargs = dict(alpha=0.1, spawn_threshold=12.0, merge_threshold=5.0)
+    vectorized = OnlineStateClusterer(initial_vectors=initial, **kwargs)
+    scalar = ScalarReferenceClusterer(initial_vectors=initial, **kwargs)
+    observations = np.array(
+        [[-0.0, 1.0], [-0.0, -1.0], [50.0, 51.0], [0.0, 91.0], [-0.0, 0.5]]
+    )
+    overall_mean = observations.mean(axis=0)
+    got = vectorized.update(observations, overall_mean=overall_mean)
+    scalar.update(observations, overall_mean)
+    assert len(set(got.assignments)) == 3
+    assert json.dumps(vectorized.states.state_dict()) == json.dumps(
+        scalar.states.state_dict()
+    )
+    assert np.signbit(vectorized.states.get(0).vector[0]) == np.signbit(
+        scalar.states.get(0).vector[0]
+    )
 
 
 # ---------------------------------------------------------------------------
